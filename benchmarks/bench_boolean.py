@@ -43,6 +43,13 @@ ENGINE_STAGES = {
 }
 
 
+#: Timed passes per engine and input size; the fastest one counts.  At
+#: the quick scale single passes spread by up to ~30% between runs on a
+#: shared 2-core host and the best of three by ~6%, which is what lets
+#: the perf gate's 40% tolerance tell a 1.5x slowdown from noise.
+TIMED_PASSES = 3
+
+
 def run_pipeline(
     num_inputs: int, samples: int, *, seed: int, engine: str
 ) -> tuple[float, list[tuple]]:
@@ -88,9 +95,12 @@ def collect(
         elapsed = {}
         results = {}
         for engine in engines:
-            elapsed[engine], results[engine] = run_pipeline(
-                num_inputs, samples, seed=seed, engine=engine
-            )
+            passes = [
+                run_pipeline(num_inputs, samples, seed=seed, engine=engine)
+                for _ in range(TIMED_PASSES)
+            ]
+            elapsed[engine] = min(seconds for seconds, _ in passes)
+            results[engine] = passes[0][1]
             totals[engine] += elapsed[engine]
         for engine in engines[1:]:
             if results[engine] != results["object"]:

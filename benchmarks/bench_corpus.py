@@ -8,6 +8,10 @@ produced the shipped ``benchmarks/corpus/``), runs the identical
 Monte-Carlo mapping workload through every engine tier, verifies the
 counting statistics stay sample-for-sample identical, and reports
 per-engine wall clock plus speedups over the reference object path.
+``compiled_vs_vectorized_speedup`` (vectorized seconds over compiled
+seconds) gates the default tier against the NumPy one directly: a
+speedup over reference alone can stay high while compiled falls behind
+vectorized.
 
 Standalone::
 
@@ -83,6 +87,12 @@ def bench_circuit(
             elapsed["reference"] / elapsed[engine] if elapsed[engine] else 0.0,
             2,
         )
+    if "compiled" in elapsed:
+        row["compiled_vs_vectorized_speedup"] = round(
+            elapsed["vectorized"] / elapsed["compiled"]
+            if elapsed["compiled"] else 0.0,
+            2,
+        )
     timings = " | ".join(
         f"{engine} {elapsed[engine]:7.3f} s" for engine in engines
     )
@@ -147,6 +157,11 @@ def collect(
         )
         metrics["compiled_speedup"] = round(
             sum(row["compiled_speedup"] for row in rows) / len(rows), 2
+        )
+        metrics["compiled_vs_vectorized_speedup"] = round(
+            metrics["vectorized_seconds"] / metrics["compiled_seconds"]
+            if metrics["compiled_seconds"] else 0.0,
+            2,
         )
     return metrics
 

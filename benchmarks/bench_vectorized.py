@@ -7,7 +7,11 @@ kernel tier, verifies the counting statistics are bit-identical across
 every engine, and reports the wall-clock speedups over the reference.
 The acceptance bar for the vectorized engine is a >= 3x throughput gain
 on a Table II-sized workload (one circuit, 200 samples, 10 % uniform
-stuck-open defects, HBA + EA); the compiled tier must beat vectorized.
+stuck-open defects, HBA + EA); the compiled tier must beat vectorized,
+which ``compiled_vs_vectorized_speedup`` (vectorized seconds over
+compiled seconds, gated higher-is-better) records.  alu4, the largest
+Table II circuit, is in the default set because small circuits hide a
+slow EA kernel behind the shared pre-screen.
 
 Standalone script so it can be pointed at any circuit / budget::
 
@@ -35,7 +39,7 @@ def _counting_stats(result):
 
 def bench_circuit(name: str, *, samples: int, defect_rate: float,
                   algorithms: tuple, seed: int, workers: int) -> dict:
-    """Benchmark one circuit; returns per-engine speedups over reference."""
+    """Benchmark one circuit; returns per-engine wall-clock seconds."""
     function = get_benchmark(name)
     kwargs = dict(
         defect_rate=defect_rate,
@@ -65,12 +69,7 @@ def bench_circuit(name: str, *, samples: int, defect_rate: float,
                 f"reference and {engine}"
             )
 
-    speedups = {
-        engine: (
-            elapsed["reference"] / elapsed[engine] if elapsed[engine] else 0.0
-        )
-        for engine in engines[1:]
-    }
+    speedups = _speedups(elapsed)
     success = results["reference"].outcome(algorithms[0]).success_rate
     timings = " | ".join(
         f"{engine} {elapsed[engine]:7.3f} s" for engine in engines
@@ -82,12 +81,21 @@ def bench_circuit(name: str, *, samples: int, defect_rate: float,
         f"{name:10s}: {timings} | speedup {gains} | "
         f"Psucc[{algorithms[0]}] {success:.0%} | statistics identical"
     )
-    return speedups
+    return elapsed
+
+
+def _speedups(elapsed: dict) -> dict:
+    """Each batched engine's speedup over the reference engine."""
+    return {
+        engine: elapsed["reference"] / seconds if seconds else 0.0
+        for engine, seconds in elapsed.items()
+        if engine != "reference"
+    }
 
 
 def collect(
     *,
-    circuits=("rd53", "misex1"),
+    circuits=("rd53", "misex1", "alu4"),
     samples=60,
     defect_rate=0.10,
     algorithms=("hybrid", "exact"),
@@ -96,7 +104,7 @@ def collect(
 ) -> dict:
     """Run the benchmark and return machine-readable metrics."""
     start = time.perf_counter()
-    speedups = {
+    elapsed = {
         name: bench_circuit(
             name,
             samples=samples,
@@ -107,6 +115,7 @@ def collect(
         )
         for name in circuits
     }
+    speedups = {name: _speedups(seconds) for name, seconds in elapsed.items()}
     metrics = {
         "benchmark": "vectorized",
         "circuits": list(circuits),
@@ -131,13 +140,19 @@ def collect(
             / len(speedups),
             2,
         )
+        compiled_seconds = sum(t["compiled"] for t in elapsed.values())
+        metrics["compiled_vs_vectorized_speedup"] = round(
+            sum(t["vectorized"] for t in elapsed.values()) / compiled_seconds
+            if compiled_seconds else 0.0,
+            2,
+        )
     return metrics
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--circuits", nargs="+",
-                        default=["rd53", "misex1", "sqrt8", "sao2"],
+                        default=["rd53", "misex1", "sqrt8", "sao2", "alu4"],
                         help="benchmark circuit names")
     parser.add_argument("--samples", type=int, default=200,
                         help="Monte-Carlo sample size (default: 200, the paper's)")
@@ -159,14 +174,14 @@ def main() -> None:
         f"algorithms={args.algorithms}, workers={args.workers}"
     )
     speedups = [
-        bench_circuit(
+        _speedups(bench_circuit(
             name,
             samples=args.samples,
             defect_rate=args.defect_rate,
             algorithms=tuple(args.algorithms),
             seed=args.seed,
             workers=args.workers,
-        )
+        ))
         for name in args.circuits
     ]
     mean = sum(gains["vectorized"] for gains in speedups) / len(speedups)

@@ -22,7 +22,9 @@ Typical invocations::
 
 Each trajectory file holds ``{"benchmark": ..., "runs": [...]}`` where
 every run records its UTC timestamp, the git commit it measured, the
-workload parameters and the measured metrics — performance history is
+host fingerprint (CPU count, Python, NumPy, compiled backend; wall-clock
+metrics gate only against rows from the same host), the workload
+parameters and the measured metrics — performance history is
 recorded across PRs instead of living in terminal scrollback, and the
 gate is what keeps the engine tiers honest between benchmark PRs.
 """
@@ -47,6 +49,7 @@ from repro.perf import (  # noqa: E402  (needs the sys.path bootstrap)
     append_run,
     compare_run,
     git_commit,
+    host_fingerprint,
     load_trajectory,
     trajectory_path,
     update_experiments,
@@ -165,6 +168,7 @@ def main() -> int:
         return 0
 
     commit = git_commit(REPO_ROOT)
+    host = host_fingerprint()
     gate_failures = []
     kwargs = {}
     if args.threshold is not None:
@@ -174,7 +178,7 @@ def main() -> int:
         }
     for name in args.suites:
         print(f"== {name} ==")
-        metrics = SUITES[name](args.samples)
+        metrics = {**SUITES[name](args.samples), "host": host}
         path = trajectory_path(RESULTS_DIR, name)
         if args.compare:
             history = load_trajectory(path, name=name)["runs"]

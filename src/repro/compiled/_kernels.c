@@ -3,6 +3,8 @@
  * Mirrors repro/compiled/_kernels_py.py function for function; that
  * module documents the array contracts and the parity obligations
  * (decision-for-decision replicas of the NumPy engines' inner loops).
+ * One matching routine, Hopcroft-Karp seeded by greedy first fit,
+ * serves both EA and the HBA/greedy output stage.
  * Built by repro/compiled/cext.py with the system C compiler into a
  * cached shared library and driven through ctypes — no Python.h, so
  * any plain `cc -O2 -fPIC -shared` works.
@@ -18,61 +20,116 @@
 
 #define DONT_CARE 2
 
-/* One Kuhn augmenting-path search from `root` (iterative DFS).
- * adj is num_left x num_right row-major; `allowed` additionally
- * restricts the usable right nodes (the free-row mask of the output
- * stage); stack_* / via are caller-provided scratch of num_right + 2. */
-static int try_augment(const uint8_t *adj, int64_t num_right,
-                       const uint8_t *allowed, int64_t *match_right,
-                       uint8_t *visited, int64_t root, int64_t *stack_left,
-                       int64_t *stack_pos, int64_t *via) {
-    int64_t top = 0;
-    stack_left[0] = root;
-    stack_pos[0] = 0;
-    while (top >= 0) {
-        int64_t left = stack_left[top];
-        int64_t h = stack_pos[top];
-        const uint8_t *row = adj + left * num_right;
-        int descended = 0;
-        while (h < num_right) {
-            if (row[h] && !visited[h] && allowed[h]) {
-                visited[h] = 1;
-                if (match_right[h] < 0) {
-                    /* Augmenting path found: flip matches along it. */
-                    match_right[h] = left;
-                    for (int64_t t = top - 1; t >= 0; t--)
-                        match_right[via[t]] = stack_left[t];
-                    return 1;
-                }
-                stack_pos[top] = h + 1;
-                via[top] = h;
-                top++;
-                stack_left[top] = match_right[h];
-                stack_pos[top] = 0;
-                descended = 1;
+#define UNREACHED INT64_MAX
+
+/* Whether every left row of adj (num_left x num_right, row-major) can
+ * be matched to a distinct right node whose `allowed` flag is set (the
+ * output stage's free-row mask).  Hopcroft-Karp (SIAM J. Comput. 2(4),
+ * 1973) seeded with a greedy first-fit matching: each phase layers the
+ * rows by BFS from the free ones over alternating paths, then augments
+ * along vertex-disjoint shortest paths by iterative DFS with per-row
+ * scan pointers.  On success match_left[l] is row l's right node and
+ * match_right[r] the row on r (-1 when free).  The scratch arrays dist,
+ * queue, scan, stack and via hold num_left entries each. */
+static int saturating(const uint8_t *adj, int64_t num_left, int64_t num_right,
+                      const uint8_t *allowed, int64_t *match_left,
+                      int64_t *match_right, int64_t *dist, int64_t *queue,
+                      int64_t *scan, int64_t *stack, int64_t *via) {
+    int64_t usable = 0;
+    for (int64_t r = 0; r < num_right; r++) {
+        match_right[r] = -1;
+        if (allowed[r])
+            usable++;
+    }
+    if (num_left > usable)
+        return 0;
+    int64_t matched = 0;
+    for (int64_t l = 0; l < num_left; l++) {
+        const uint8_t *row = adj + l * num_right;
+        int reachable = 0;
+        match_left[l] = -1;
+        for (int64_t r = 0; r < num_right; r++) {
+            if (!row[r] || !allowed[r])
+                continue;
+            reachable = 1;
+            if (match_right[r] < 0) {
+                match_right[r] = l;
+                match_left[l] = r;
+                matched++;
                 break;
             }
-            h++;
         }
-        if (descended)
-            continue;
-        top--;
-    }
-    return 0;
-}
-
-/* Whether every left row of adj can be matched (rows in order). */
-static int saturating(const uint8_t *adj, int64_t num_left, int64_t num_right,
-                      const uint8_t *allowed, int64_t *match_right,
-                      uint8_t *visited, int64_t *stack_left,
-                      int64_t *stack_pos, int64_t *via) {
-    for (int64_t h = 0; h < num_right; h++)
-        match_right[h] = -1;
-    for (int64_t left = 0; left < num_left; left++) {
-        memset(visited, 0, (size_t)num_right);
-        if (!try_augment(adj, num_right, allowed, match_right, visited, left,
-                         stack_left, stack_pos, via))
+        if (!reachable)
             return 0;
+    }
+    while (matched < num_left) {
+        int64_t head = 0, tail = 0, limit = UNREACHED;
+        for (int64_t l = 0; l < num_left; l++) {
+            scan[l] = 0;
+            if (match_left[l] < 0) {
+                dist[l] = 0;
+                queue[tail++] = l;
+            } else {
+                dist[l] = UNREACHED;
+            }
+        }
+        while (head < tail) {
+            int64_t l = queue[head++];
+            if (dist[l] > limit)
+                break;
+            const uint8_t *row = adj + l * num_right;
+            for (int64_t r = 0; r < num_right; r++) {
+                if (!row[r] || !allowed[r])
+                    continue;
+                int64_t next = match_right[r];
+                if (next < 0) {
+                    if (limit == UNREACHED)
+                        limit = dist[l];
+                } else if (dist[next] == UNREACHED) {
+                    dist[next] = dist[l] + 1;
+                    queue[tail++] = next;
+                }
+            }
+        }
+        if (limit == UNREACHED)
+            return 0; /* no augmenting path: the maximum falls short */
+        for (int64_t root = 0; root < num_left; root++) {
+            if (match_left[root] >= 0 || dist[root] != 0)
+                continue;
+            int64_t top = 0;
+            stack[0] = root;
+            while (top >= 0) {
+                int64_t l = stack[top];
+                const uint8_t *row = adj + l * num_right;
+                int64_t r = scan[l], next = -1;
+                for (; r < num_right; r++) {
+                    if (!row[r] || !allowed[r])
+                        continue;
+                    next = match_right[r];
+                    if (next < 0 ||
+                        (dist[next] == dist[l] + 1 && dist[next] <= limit))
+                        break;
+                }
+                if (r == num_right) {
+                    dist[l] = UNREACHED; /* dead end for this phase */
+                    top--;
+                    continue;
+                }
+                scan[l] = r + 1;
+                via[top] = r;
+                if (next >= 0) {
+                    stack[++top] = next;
+                    continue;
+                }
+                /* Free right node: flip the matches along the path. */
+                for (int64_t t = top; t >= 0; t--) {
+                    match_right[via[t]] = stack[t];
+                    match_left[stack[t]] = via[t];
+                }
+                matched++;
+                break;
+            }
+        }
     }
     return 1;
 }
@@ -87,24 +144,26 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
                             int32_t mode, int32_t check_validity,
                             uint8_t *success, int64_t *backtracks,
                             uint8_t *valid) {
-    uint8_t *allowed_all = malloc((size_t)num_rows);
-    int64_t *match_right = malloc((size_t)num_rows * sizeof(int64_t));
-    uint8_t *visited = malloc((size_t)num_rows);
-    int64_t *stack_left = malloc((size_t)(num_rows + 2) * sizeof(int64_t));
-    int64_t *stack_pos = malloc((size_t)(num_rows + 2) * sizeof(int64_t));
-    int64_t *via = malloc((size_t)(num_rows + 2) * sizeof(int64_t));
-    uint8_t *free_row = malloc((size_t)num_rows);
-    int64_t *owner = malloc((size_t)num_rows * sizeof(int64_t));
-    int64_t *assigned = malloc((size_t)num_fm_rows * sizeof(int64_t));
-    uint8_t *seen = malloc((size_t)num_rows);
-    if (!allowed_all || !match_right || !visited || !stack_left ||
-        !stack_pos || !via || !free_row || !owner || !assigned || !seen) {
-        free(allowed_all); free(match_right); free(visited);
-        free(stack_left); free(stack_pos); free(via);
-        free(free_row); free(owner); free(assigned); free(seen);
-        return -1;
-    }
-    memset(allowed_all, 1, (size_t)num_rows);
+    /* One spare slot each so zero-sized batches still allocate. */
+    size_t rows = (size_t)num_rows + 1, fm = (size_t)num_fm_rows + 1;
+    uint8_t *allowed_all = malloc(rows);
+    uint8_t *free_row = malloc(rows);
+    uint8_t *seen = malloc(rows);
+    int64_t *match_right = malloc(rows * sizeof(int64_t));
+    int64_t *owner = malloc(rows * sizeof(int64_t));
+    int64_t *assigned = malloc(fm * sizeof(int64_t));
+    int64_t *match_left = malloc(fm * sizeof(int64_t));
+    int64_t *dist = malloc(fm * sizeof(int64_t));
+    int64_t *queue = malloc(fm * sizeof(int64_t));
+    int64_t *scan = malloc(fm * sizeof(int64_t));
+    int64_t *stack = malloc(fm * sizeof(int64_t));
+    int64_t *via = malloc(fm * sizeof(int64_t));
+    int status = -1;
+    if (!allowed_all || !free_row || !seen || !match_right || !owner ||
+        !assigned || !match_left || !dist || !queue || !scan || !stack ||
+        !via)
+        goto done;
+    memset(allowed_all, 1, rows);
 
     for (int64_t s = 0; s < num_samples; s++) {
         const uint8_t *adj = compat + s * num_fm_rows * num_rows;
@@ -115,9 +174,9 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
 
         if (mode == MODE_EXACT) {
             success[s] = (uint8_t)saturating(adj, num_fm_rows, num_rows,
-                                             allowed_all, match_right,
-                                             visited, stack_left, stack_pos,
-                                             via);
+                                             allowed_all, match_left,
+                                             match_right, dist, queue, scan,
+                                             stack, via);
             continue;
         }
 
@@ -177,19 +236,12 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
 
         int64_t num_outputs = num_fm_rows - num_minterms;
         if (num_outputs > 0) {
-            int64_t nfree = 0;
-            for (int64_t h = 0; h < num_rows; h++)
-                if (free_row[h])
-                    nfree++;
-            if (nfree < num_outputs)
-                continue;
             if (!saturating(adj + num_minterms * num_rows, num_outputs,
-                            num_rows, free_row, match_right, visited,
-                            stack_left, stack_pos, via))
+                            num_rows, free_row, match_left, match_right,
+                            dist, queue, scan, stack, via))
                 continue;
-            for (int64_t h = 0; h < num_rows; h++)
-                if (match_right[h] >= 0)
-                    assigned[num_minterms + match_right[h]] = h;
+            for (int64_t o = 0; o < num_outputs; o++)
+                assigned[num_minterms + o] = match_left[o];
         }
         success[s] = 1;
         if (check_validity) {
@@ -206,11 +258,13 @@ int repro_map_builtin_batch(const uint8_t *compat, const uint8_t *closed,
             valid[s] = (uint8_t)good;
         }
     }
+    status = 0;
 
-    free(allowed_all); free(match_right); free(visited);
-    free(stack_left); free(stack_pos); free(via);
-    free(free_row); free(owner); free(assigned); free(seen);
-    return 0;
+done:
+    free(allowed_all); free(free_row); free(seen); free(match_right);
+    free(owner); free(assigned); free(match_left); free(dist);
+    free(queue); free(scan); free(stack); free(via);
+    return status;
 }
 
 /* The packed minimiser's distance-1 merge pass (see _kernels_py.py).

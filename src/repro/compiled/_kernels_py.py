@@ -5,7 +5,10 @@ replicas of :mod:`repro.mapping.batch_kernel` (``_replica_exact`` /
 ``_replica_hybrid``) and the distance-1 merge pass of
 :mod:`repro.boolean.packed` (``_merge_distance_one_values``) — but as
 plain element loops over preallocated arrays, restricted to the subset
-of Python that Numba's nopython mode compiles.
+of Python that Numba's nopython mode compiles.  Saturating matching,
+for EA and for the HBA/greedy output stage alike, is one routine:
+Hopcroft-Karp seeded by greedy first fit, the algorithm SciPy runs for
+the NumPy replicas.
 
 When ``numba`` is importable every function below is ``@njit``-ed and
 this module *is* the ``"numba"`` backend's implementation.  Without
@@ -56,62 +59,114 @@ MODE_HYBRID = 2
 _DONT_CARE = 2  # repro.boolean.cube.DONT_CARE
 
 
-@_njit(cache=True)
-def _try_augment(adj, allowed, match_right, visited, root, stack_left,
-                 stack_pos, via):
-    """One Kuhn augmenting-path search from ``root`` (iterative DFS)."""
-    num_right = adj.shape[1]
-    top = 0
-    stack_left[0] = root
-    stack_pos[0] = 0
-    while top >= 0:
-        left = stack_left[top]
-        h = stack_pos[top]
-        descended = False
-        while h < num_right:
-            if adj[left, h] != 0 and visited[h] == 0 and allowed[h] != 0:
-                visited[h] = 1
-                if match_right[h] < 0:
-                    # Augmenting path found: flip the matches along it.
-                    match_right[h] = left
-                    t = top - 1
-                    while t >= 0:
-                        match_right[via[t]] = stack_left[t]
-                        t -= 1
-                    return True
-                stack_pos[top] = h + 1
-                via[top] = h
-                top += 1
-                stack_left[top] = match_right[h]
-                stack_pos[top] = 0
-                descended = True
-                break
-            h += 1
-        if descended:
-            continue
-        top -= 1
-    return False
+#: ``dist`` of a row no shortest augmenting path reaches this phase.
+_UNREACHED = np.iinfo(np.int64).max
 
 
 @_njit(cache=True)
-def _saturating(adj, allowed, match_right, visited, stack_left, stack_pos,
-                via):
-    """Whether every left row of ``adj`` can be matched (rows in order).
+def _saturating(adj, allowed, match_left, match_right, dist, queue, scan,
+                stack, via):
+    """Whether every left row of ``adj`` can be matched into ``allowed``.
 
-    Existence-equivalent to the Hopcroft-Karp / Munkres probes of the
-    NumPy engine: a saturating matching either exists or it does not,
-    regardless of which maximum matching a given algorithm returns.
+    Hopcroft-Karp (SIAM J. Comput. 2(4), 1973) seeded with a greedy
+    first-fit matching: each phase layers the rows by BFS from the free
+    ones over alternating paths, then augments along vertex-disjoint
+    shortest paths by iterative DFS with per-row scan pointers.  On
+    success ``match_left[l]`` is row ``l``'s right node and
+    ``match_right[r]`` the row on ``r`` (-1 when free).
+
+    Existence-equivalent to the SciPy Hopcroft-Karp / Munkres probes of
+    the NumPy engine: a saturating matching either exists or it does
+    not, regardless of which maximum matching a given algorithm returns.
     """
     num_left = adj.shape[0]
     num_right = adj.shape[1]
-    for h in range(num_right):
-        match_right[h] = -1
+    usable = 0
+    for r in range(num_right):
+        match_right[r] = -1
+        if allowed[r] != 0:
+            usable += 1
+    if num_left > usable:
+        return False
+    matched = 0
     for left in range(num_left):
-        for h in range(num_right):
-            visited[h] = 0
-        if not _try_augment(adj, allowed, match_right, visited, left,
-                            stack_left, stack_pos, via):
+        reachable = False
+        match_left[left] = -1
+        for r in range(num_right):
+            if adj[left, r] == 0 or allowed[r] == 0:
+                continue
+            reachable = True
+            if match_right[r] < 0:
+                match_right[r] = left
+                match_left[left] = r
+                matched += 1
+                break
+        if not reachable:
             return False
+    while matched < num_left:
+        head = 0
+        tail = 0
+        limit = _UNREACHED
+        for left in range(num_left):
+            scan[left] = 0
+            if match_left[left] < 0:
+                dist[left] = 0
+                queue[tail] = left
+                tail += 1
+            else:
+                dist[left] = _UNREACHED
+        while head < tail:
+            left = queue[head]
+            head += 1
+            if dist[left] > limit:
+                break
+            for r in range(num_right):
+                if adj[left, r] == 0 or allowed[r] == 0:
+                    continue
+                nxt = match_right[r]
+                if nxt < 0:
+                    if limit == _UNREACHED:
+                        limit = dist[left]
+                elif dist[nxt] == _UNREACHED:
+                    dist[nxt] = dist[left] + 1
+                    queue[tail] = nxt
+                    tail += 1
+        if limit == _UNREACHED:
+            return False  # no augmenting path: the maximum falls short
+        for root in range(num_left):
+            if match_left[root] >= 0 or dist[root] != 0:
+                continue
+            top = 0
+            stack[0] = root
+            while top >= 0:
+                left = stack[top]
+                r = scan[left]
+                nxt = -1
+                while r < num_right:
+                    if adj[left, r] != 0 and allowed[r] != 0:
+                        nxt = match_right[r]
+                        if nxt < 0 or (dist[nxt] == dist[left] + 1
+                                       and dist[nxt] <= limit):
+                            break
+                    r += 1
+                if r == num_right:
+                    dist[left] = _UNREACHED  # dead end for this phase
+                    top -= 1
+                    continue
+                scan[left] = r + 1
+                via[top] = r
+                if nxt >= 0:
+                    top += 1
+                    stack[top] = nxt
+                    continue
+                # Free right node: flip the matches along the path.
+                t = top
+                while t >= 0:
+                    match_right[via[t]] = stack[t]
+                    match_left[stack[t]] = via[t]
+                    t -= 1
+                matched += 1
+                break
     return True
 
 
@@ -126,23 +181,25 @@ def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
     valid = np.ones(num_samples, dtype=np.uint8)
 
     allowed_all = np.ones(num_rows, dtype=np.uint8)
-    match_right = np.empty(num_rows, dtype=np.int64)
-    visited = np.empty(num_rows, dtype=np.uint8)
-    stack_left = np.empty(num_rows + 2, dtype=np.int64)
-    stack_pos = np.empty(num_rows + 2, dtype=np.int64)
-    via = np.empty(num_rows + 2, dtype=np.int64)
     free = np.empty(num_rows, dtype=np.uint8)
+    seen = np.empty(num_rows, dtype=np.uint8)
+    match_right = np.empty(num_rows, dtype=np.int64)
     owner = np.empty(num_rows, dtype=np.int64)
     assigned = np.empty(num_fm_rows, dtype=np.int64)
-    seen = np.empty(num_rows, dtype=np.uint8)
+    match_left = np.empty(num_fm_rows, dtype=np.int64)
+    dist = np.empty(num_fm_rows, dtype=np.int64)
+    queue = np.empty(num_fm_rows, dtype=np.int64)
+    scan = np.empty(num_fm_rows, dtype=np.int64)
+    stack = np.empty(num_fm_rows, dtype=np.int64)
+    via = np.empty(num_fm_rows, dtype=np.int64)
 
     for s in range(num_samples):
         adj = compat[s]
         if mode == MODE_EXACT:
             # ExactMapper: success iff the FM rows admit a saturating
             # matching; it never backtracks and always validates.
-            ok = _saturating(adj, allowed_all, match_right, visited,
-                             stack_left, stack_pos, via)
+            ok = _saturating(adj, allowed_all, match_left, match_right,
+                             dist, queue, scan, stack, via)
             success[s] = 1 if ok else 0
             continue
 
@@ -196,20 +253,12 @@ def map_builtin_batch(compat, closed, num_minterms, mode, check_validity):
 
         num_outputs = num_fm_rows - num_minterms
         if num_outputs > 0:
-            nfree = 0
-            for h in range(num_rows):
-                if free[h] != 0:
-                    nfree += 1
-            if nfree < num_outputs:
+            if not _saturating(adj[num_minterms:], free, match_left,
+                               match_right, dist, queue, scan, stack, via):
                 success[s] = 0
                 continue
-            if not _saturating(adj[num_minterms:], free, match_right,
-                               visited, stack_left, stack_pos, via):
-                success[s] = 0
-                continue
-            for h in range(num_rows):
-                if match_right[h] >= 0:
-                    assigned[num_minterms + match_right[h]] = h
+            for o in range(num_outputs):
+                assigned[num_minterms + o] = match_left[o]
         success[s] = 1
         if check_validity != 0:
             good = True

@@ -10,6 +10,7 @@ unit-testable like any other subsystem.
 """
 
 from repro.perf.gate import (
+    HOST_KEYS,
     SCALE_KEYS,
     GateResult,
     MetricSpec,
@@ -26,12 +27,14 @@ from repro.perf.report import (
 from repro.perf.trajectory import (
     append_run,
     git_commit,
+    host_fingerprint,
     load_trajectory,
     trajectory_path,
 )
 
 __all__ = [
     "GateResult",
+    "HOST_KEYS",
     "MetricSpec",
     "MetricVerdict",
     "SCALE_KEYS",
@@ -39,6 +42,7 @@ __all__ = [
     "comparable_history",
     "compare_run",
     "git_commit",
+    "host_fingerprint",
     "infer_metric_specs",
     "load_trajectory",
     "render_trends",

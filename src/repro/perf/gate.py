@@ -17,6 +17,12 @@ follows):
   *higher* is better; a run fails when
   ``current < median * (1 - threshold)``.
 
+Wall-clock metrics only compare against rows recorded on the same
+host (the ``host`` fingerprint :func:`repro.perf.trajectory.host_fingerprint`
+puts in every row): seconds measured on a 2-core laptop say nothing
+about a 4-core CI runner.  Ratios — speedups — divide out the machine,
+so they gate against every row, whichever host recorded it.
+
 Tolerances are deliberately generous by default (CI machines are noisy);
 the gate exists to catch the 1.5–2x cliffs a bad kernel change causes,
 not 5 % jitter.  Metrics missing from some history rows are tolerated
@@ -56,6 +62,11 @@ SCALE_KEYS = (
     "strategy",
     "extra_rows",
 )
+
+#: Keys that must also agree before a row's *wall-clock* values feed a
+#: baseline; like :data:`SCALE_KEYS`, a key absent from either side
+#: doesn't constrain the match.
+HOST_KEYS = ("host",)
 
 
 def comparable_history(
@@ -205,12 +216,15 @@ def compare_run(
     looks; rows lacking a given metric are skipped for that metric.
     Rows recorded at a different workload scale (see
     :func:`comparable_history`) are excluded entirely; pass
-    ``scale_keys=None`` to gate against the raw history.
+    ``scale_keys=None`` to gate against the raw history.  Wall-clock
+    (``"lower"``) metrics additionally skip rows recorded on another
+    host (:data:`HOST_KEYS`).
     """
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")
     if scale_keys:
         history = comparable_history(metrics, history, keys=scale_keys)
+    same_host = comparable_history(metrics, history, keys=HOST_KEYS)
     if specs is None:
         specs = infer_metric_specs(
             metrics,
@@ -222,9 +236,10 @@ def compare_run(
         current = metrics.get(spec.name)
         if isinstance(current, bool) or not isinstance(current, (int, float)):
             continue
+        rows = same_host if spec.direction == "lower" else history
         values = [
             row[spec.name]
-            for row in history
+            for row in rows
             if isinstance(row.get(spec.name), (int, float))
             and not isinstance(row.get(spec.name), bool)
         ][-window:]

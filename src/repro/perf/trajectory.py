@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import subprocess
 import tempfile
 from datetime import datetime, timezone
@@ -84,6 +85,30 @@ def append_run(
         if os.path.exists(tmp):
             os.unlink(tmp)
     return row
+
+
+def host_fingerprint() -> dict:
+    """The machine facts wall-clock readings depend on.
+
+    CPU count (the ones this process may run on), Python and NumPy
+    versions, and the compiled-kernel backend (``None`` without one).
+    The gate compares ``*_seconds`` metrics only between rows whose
+    fingerprints agree.
+    """
+    import numpy
+
+    from repro.compiled import compiled_backend
+
+    if hasattr(os, "sched_getaffinity"):
+        nproc = len(os.sched_getaffinity(0))
+    else:  # pragma: no cover - platforms without affinity masks
+        nproc = os.cpu_count()
+    return {
+        "nproc": nproc,
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "compiled_backend": compiled_backend(),
+    }
 
 
 def git_commit(root: str | Path | None = None) -> str:

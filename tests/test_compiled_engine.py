@@ -182,6 +182,126 @@ def random_instance(rng: np.random.Generator):
     return compat, closed, num_minterms
 
 
+def staircase(size: int, rng: np.random.Generator) -> np.ndarray:
+    """A square staircase, rows and columns permuted at random.
+
+    Row ``i`` of the unpermuted matrix sees columns ``0..size-1-i``, so a
+    perfect matching exists, but greedy first fit leaves rows unmatched
+    and Hopcroft-Karp needs many phases of long augmenting paths (at
+    size 200: 23 free rows, 14 phases, paths through 110 rows).
+    """
+    adj = np.tril(np.ones((size, size), dtype=np.uint8))[::-1]
+    return adj[rng.permutation(size)][:, rng.permutation(size)].copy()
+
+
+def single(adj: np.ndarray, closed=None):
+    """One-sample batch ``(compat, closed)`` of a biadjacency matrix."""
+    if closed is None:
+        closed = np.zeros(adj.shape[1], dtype=np.uint8)
+    return adj[None].astype(np.uint8), np.asarray(closed, np.uint8)[None]
+
+
+def exact_cases():
+    """Fixed exact-mode instances: label, (compat, closed), saturating."""
+    rng = np.random.default_rng(31)
+    cases = []
+    for size in (8, 33, 64, 200):
+        adj = staircase(size, rng)
+        cases.append((f"staircase-{size}", single(adj), True))
+        # Dropping the column only the widest row reaches leaves every
+        # row with degree >= 1 but `size` rows on `size - 1` columns.
+        hall = adj.copy()
+        hall[:, np.argmin(adj.sum(axis=0))] = 0
+        assert hall.sum(axis=1).min() >= 1
+        cases.append((f"staircase-{size}-hall", single(hall), False))
+    # Hall violation: four rows share three columns; the rest are easy.
+    adj = (rng.random((12, 16)) < 0.5).astype(np.uint8)
+    adj[:4] = 0
+    adj[:4, [2, 7, 11]] = 1
+    adj[4:, [2, 7, 11]] = 0
+    adj[4:, 0] = 1
+    assert adj.sum(axis=1).min() >= 1
+    cases.append(("shared-columns-hall", single(adj), False))
+    cases.append(
+        ("more-fm-rows", single(np.ones((12, 8), dtype=np.uint8)), False)
+    )
+    cases.append(
+        ("no-fm-rows", single(np.zeros((0, 5), dtype=np.uint8)), True)
+    )
+    # Near the matching threshold at ~200 x 200: a sparse random graph
+    # over a planted permutation, plus stuck-closed rows.
+    for seed in range(3):
+        local = np.random.default_rng(seed)
+        adj = (local.random((200, 210)) < 0.015).astype(np.uint8)
+        adj[np.arange(200), local.permutation(210)[:200]] = 1
+        closed = (local.random(210) < 0.03).astype(np.uint8)
+        adj &= 1 - closed[None, :]
+        cases.append((f"sparse-200-{seed}", single(adj, closed), None))
+    return cases
+
+
+def output_stage_cases():
+    """Fixed HBA instances whose output stage the minterms crowd out."""
+    rng = np.random.default_rng(37)
+    cases = []
+    # Three minterms fill rows 0-2; both outputs then compete for row 3
+    # (fails) or reach rows 3 and 4 (succeeds).
+    for label, second_output, mapped in (
+        ("outputs-crowded-out", [1, 3], False),
+        ("outputs-fit", [1, 4], True),
+    ):
+        adj = np.zeros((5, 6), dtype=np.uint8)
+        adj[:3, :3] = 1
+        adj[3, [0, 3]] = 1
+        adj[4, second_output] = 1
+        cases.append((label, single(adj), 3, mapped))
+    # One minterm on row 0, then a permuted staircase of outputs over
+    # the remaining rows and the minterm's own row.
+    for size in (17, 120):
+        adj = np.zeros((size + 1, size + 1), dtype=np.uint8)
+        adj[0, 0] = 1
+        adj[1:, 1:] = staircase(size, rng)
+        adj[1:, 0] = 1
+        cases.append((f"output-staircase-{size}", single(adj), 1, True))
+    return cases
+
+
+def assert_exact_matches(map_exact, cases):
+    """``map_exact(compat, closed)`` against ``_replica_exact``."""
+    for label, (compat, closed), expected in cases:
+        success, backtracks, valid = map_exact(compat, closed)
+        assert not backtracks.any(), label
+        assert valid.all(), label
+        for s in range(compat.shape[0]):
+            usable = np.flatnonzero(closed[s] == 0)
+            ok, _, _ = _replica_exact(compat[s], usable)
+            if expected is not None:
+                assert ok == expected, label
+            assert bool(success[s]) == ok, label
+
+
+def assert_output_stage_matches(map_first_fit, cases):
+    """``map_first_fit(compat, closed, num_minterms, mode)`` vs HBA."""
+    for label, (compat, closed), num_minterms, expected in cases:
+        for mode, backtracking in (
+            (kernels_py.MODE_GREEDY, False),
+            (kernels_py.MODE_HYBRID, True),
+        ):
+            success, backtracks, valid = map_first_fit(
+                compat, closed, num_minterms, mode
+            )
+            usable = np.flatnonzero(closed[0] == 0)
+            ok, bt, good = _replica_hybrid(
+                compat[0], usable, num_minterms,
+                backtracking=backtracking, check_validity=True,
+            )
+            assert ok == expected, label
+            assert bool(success[0]) == ok, label
+            assert int(backtracks[0]) == bt, label
+            if ok:
+                assert good and valid[0] == 1, label
+
+
 class TestKernelOracle:
     """`_kernels_py` (pure Python) against the NumPy replicas."""
 
@@ -219,6 +339,23 @@ class TestKernelOracle:
                 usable = np.flatnonzero(closed[s] == 0)
                 ok, _, _ = _replica_exact(compat[s], usable)
                 assert bool(success[s]) == ok
+
+    def test_exact_mode_on_adversarial_instances(self):
+        assert_exact_matches(
+            lambda compat, closed: kernels_py.map_builtin_batch(
+                compat, closed, compat.shape[1], kernels_py.MODE_EXACT, 1
+            ),
+            exact_cases(),
+        )
+
+    def test_output_stage_on_adversarial_instances(self):
+        assert_output_stage_matches(
+            lambda compat, closed, num_minterms, mode:
+                kernels_py.map_builtin_batch(
+                    compat, closed, num_minterms, mode, 1
+                ),
+            output_stage_cases(),
+        )
 
     def test_merge_pass_matches_replica(self):
         rng = random.Random(99)
@@ -267,6 +404,29 @@ class TestLoadedBackend:
                 )
                 for g, w in zip(got, want):
                     assert np.array_equal(g, w), kind
+
+    def test_exact_mode_on_adversarial_instances(self):
+        kernels = compiled.get_kernels()
+        assert_exact_matches(
+            lambda compat, closed: kernels.map_builtin_batch(
+                compat, closed, compat.shape[1], kind="exact",
+                check_validity=True,
+            ),
+            exact_cases(),
+        )
+
+    def test_output_stage_on_adversarial_instances(self):
+        kernels = compiled.get_kernels()
+        kinds = {kernels_py.MODE_GREEDY: "greedy",
+                 kernels_py.MODE_HYBRID: "hybrid"}
+        assert_output_stage_matches(
+            lambda compat, closed, num_minterms, mode:
+                kernels.map_builtin_batch(
+                    compat, closed, num_minterms, kind=kinds[mode],
+                    check_validity=True,
+                ),
+            output_stage_cases(),
+        )
 
     def test_merge_distance_one_matches_oracle(self):
         kernels = compiled.get_kernels()

@@ -21,6 +21,7 @@ from repro.perf import (
     comparable_history,
     compare_run,
     git_commit,
+    host_fingerprint,
     infer_metric_specs,
     load_trajectory,
     render_trends,
@@ -163,6 +164,46 @@ class TestScaleMatching:
         assert not result.passed
 
 
+class TestHostMatching:
+    HOST_A = {"nproc": 2, "python": "3.11.7", "numpy": "2.4.6",
+              "compiled_backend": "cext"}
+    HOST_B = {"nproc": 4, "python": "3.12.3", "numpy": "2.1.0",
+              "compiled_backend": None}
+
+    def test_wall_clock_skips_rows_from_another_host(self):
+        # Seconds from a slower machine neither fail nor pass this one.
+        history = rows([0.1, 0.1], host=self.HOST_A)
+        result = compare_run({"elapsed_seconds": 1.0, "host": self.HOST_B},
+                             history)
+        assert result.passed
+        assert result.verdicts[0].status == "no-baseline"
+        result = compare_run({"elapsed_seconds": 1.0, "host": self.HOST_A},
+                             history)
+        assert not result.passed
+
+    def test_ratios_gate_across_hosts(self):
+        history = rows([2.0, 2.0], metric="compiled_vs_vectorized_speedup",
+                       host=self.HOST_A)
+        result = compare_run(
+            {"compiled_vs_vectorized_speedup": 0.9, "host": self.HOST_B},
+            history,
+        )
+        assert [v.metric for v in result.failures] == [
+            "compiled_vs_vectorized_speedup"
+        ]
+
+    def test_fingerprint_names_the_machine_facts(self):
+        host = host_fingerprint()
+        assert set(host) == {"nproc", "python", "numpy", "compiled_backend"}
+        assert host["nproc"] >= 1
+
+    def test_rows_without_a_host_stay_comparable(self):
+        history = rows([0.1, 0.1])  # recorded before rows carried a host
+        result = compare_run({"elapsed_seconds": 1.0, "host": self.HOST_A},
+                             history)
+        assert not result.passed
+
+
 class TestRealTrajectories:
     """The acceptance pair, against the actual shipped BENCH files."""
 
@@ -194,6 +235,32 @@ class TestRealTrajectories:
         result = compare_run(slowed, runs[:-1], benchmark="boolean")
         assert not result.passed
         assert {v.metric for v in result.failures} == {v.metric for v in gated}
+
+    def test_every_shipped_row_records_its_host(self):
+        for path in self.trajectories():
+            for row in load_trajectory(path)["runs"]:
+                assert set(row["host"]) == {
+                    "nproc", "python", "numpy", "compiled_backend",
+                }, path.name
+
+    def test_compiled_behind_vectorized_fails_from_any_host(self):
+        # 0.56 is vectorized / compiled seconds that the corpus suite
+        # measured (2 cores, C backend) while the compiled EA kernel ran
+        # Kuhn's O(V*E) matching: compiled 1.8x slower than vectorized.
+        runs = load_trajectory(RESULTS_DIR / "BENCH_corpus.json")["runs"]
+        regressed = dict(runs[-1])
+        regressed["compiled_vs_vectorized_speedup"] = 0.56
+        regressed["host"] = {"nproc": 64, "python": "3.13.0",
+                             "numpy": "2.0.0", "compiled_backend": "numba"}
+        result = compare_run(regressed, runs[:-1], benchmark="corpus")
+        assert "compiled_vs_vectorized_speedup" in {
+            v.metric for v in result.failures
+        }
+        # ...while its seconds have no same-host baseline to fail against.
+        assert all(
+            v.status == "no-baseline"
+            for v in result.verdicts if v.direction == "lower"
+        )
 
     def test_injected_speedup_collapse_fails(self):
         runs = load_trajectory(RESULTS_DIR / "BENCH_vectorized.json")["runs"]
